@@ -3,10 +3,14 @@
 One layer owns all intra-node parallelism so every consumer inherits the
 same guarantees:
 
-* :mod:`repro.runtime.pool` — a persistent, order-preserving
-  ``multiprocessing`` pool with the deterministic semantics the loop-nest
-  sweeps established (results identical to the serial map, ``REPRO_WORKERS``
-  as the shared default, graceful serial fallback);
+* :mod:`repro.runtime.pool` — a persistent, order-preserving worker pool
+  with the deterministic semantics the loop-nest sweeps established
+  (results identical to the serial map, ``REPRO_WORKERS`` as the shared
+  default, graceful serial fallback).  Each worker is a ``multiprocessing``
+  process with its own pipe; the parent waits on the pipes and the process
+  sentinels, so a dead worker is seen at once, and a crashed or timed-out
+  map is retried on fresh workers after SIGKILLing the old ones.  Not
+  ``ProcessPoolExecutor``: before Python 3.14 it cannot kill a hung worker;
 * :mod:`repro.runtime.shm` — zero-copy broadcast of dense operands through
   ``multiprocessing.shared_memory`` so per-task pickling only covers each
   rank's private data;

@@ -1,9 +1,8 @@
 """Persistent deterministic worker pool shared by every parallel consumer.
 
-PR 1 gave the loop-nest sweeps their own ``multiprocessing`` fan-out in
-:mod:`repro.core.search`; the distributed runtime needed the same machinery
-to run virtual ranks in parallel.  This module is that machinery, extracted
-into a layer both consumers share:
+The loop-nest sweeps, the autotuner, the distributed ranks and the serving
+layer's batch dispatch all fan out through this module, so they share one
+set of guarantees:
 
 * **order preservation** — :meth:`WorkerPool.map` returns exactly
   ``[fn(x) for x in items]`` regardless of worker count or scheduling, so
@@ -13,10 +12,29 @@ into a layer both consumers share:
   individual ``map`` calls, so repeated sweeps and repeated distributed
   executions reuse warm worker processes (and their plan caches) instead of
   paying a fork per call;
-* **graceful degradation** — unpicklable callables, single-item maps,
-  daemonic callers (a task running *inside* a pool worker) and pool
-  failures all fall back to the identical serial path: parallelism is an
-  optimization, never a behaviour change.
+* **supervision** — a worker that dies mid-map (SIGKILL, OOM killer, a
+  native crash) or a map that outlives ``REPRO_TASK_TIMEOUT`` is detected,
+  every worker is killed, and the map is retried on fresh workers, then
+  re-run serially: parallelism is an optimization, never a behaviour
+  change.  Unpicklable callables, single-item maps and daemonic callers (a
+  task running *inside* a pool worker) take the same serial path.
+
+The pool is built from public ``multiprocessing`` primitives only: each
+worker is a daemonic ``Process`` that owns one duplex ``Pipe``, receives a
+pickled chunk, runs it and sends the chunk's results back.  Workers share
+no queue and no lock, so a worker killed at any instant cannot leave state
+behind that blocks the parent or its siblings.  The parent waits with
+:func:`multiprocessing.connection.wait` on the result pipes *and* each
+``Process.sentinel``: a sentinel closes when its process dies, however it
+died and whatever the parent's SIGCHLD disposition (``Process.exitcode``
+stays ``None`` forever when SIGCHLD is ignored), so crash detection needs
+no polling.  :meth:`WorkerPool.close` is SIGKILL + join;
+:meth:`WorkerPool.drain` asks each worker to exit and joins it.
+
+``concurrent.futures.ProcessPoolExecutor`` would report worker death too,
+but before Python 3.14 it has no public way to kill a worker stuck in a
+task: a timed-out map would leave the worker running, and the executor's
+exit hook would then wait on it.
 
 The default worker count is taken from the ``REPRO_WORKERS`` environment
 variable (``0``/unset → serial, ``-1`` → one per CPU), shared by the
@@ -27,7 +45,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import multiprocessing.pool as mp_pool
 import os
 import pickle
 import signal
@@ -36,7 +53,8 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, TypeVar
+from multiprocessing.connection import wait
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.obs.metrics import register_source
 from repro.obs.trace import add_spans, capture_spans, span, tracing_enabled
@@ -96,17 +114,9 @@ class _FaultTask:
 WORKERS_ENV = "REPRO_WORKERS"
 #: Per-map task timeout in seconds (unset/empty → no timeout).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-#: How many times a failed parallel map is retried on a respawned pool
+#: How many times a failed parallel map is retried on fresh workers
 #: before falling back serial (default 1).
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
-#: Set to ``0`` to disable map supervision (plain blocking ``Pool.map``);
-#: exists so the supervision-overhead benchmark has an A/B switch.
-SUPERVISE_ENV = "REPRO_POOL_SUPERVISE"
-
-#: How often the supervised map wakes to check worker liveness.  The wait
-#: is event-based (returns the instant results land), so this only bounds
-#: crash/timeout detection latency, not per-map overhead.
-_POLL_INTERVAL_S = 0.05
 
 
 def default_workers() -> Optional[int]:
@@ -165,14 +175,6 @@ def default_task_retries() -> int:
         return 1
 
 
-def default_supervise() -> bool:
-    """Whether supervised maps are enabled (``REPRO_POOL_SUPERVISE``)."""
-    raw = os.environ.get(SUPERVISE_ENV)
-    if raw is None or not raw.strip():
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
 # Process-wide supervision event totals (in addition to the per-pool
 # counters): the serving layer samples deltas around a batch execution to
 # attribute worker crashes to the plan signature that caused them, and the
@@ -219,14 +221,16 @@ def _worker_init() -> None:
 
     A worker forked from a process running an asyncio event loop (the
     serving daemon) inherits the loop's no-op SIGTERM/SIGINT handlers
-    *and* its signal wakeup pipe.  Left in place, ``Pool.terminate()``'s
-    SIGTERM would (a) never kill the worker — the no-op handler swallows
-    it, hanging the subsequent ``join()`` — and (b) write the signal
-    number into the wakeup pipe *shared with the parent*, which the
-    parent's event loop then reads as its own SIGTERM and begins a
-    spurious daemon shutdown.  Detaching the wakeup fd and restoring the
-    default SIGTERM disposition severs both paths; SIGINT is ignored so
-    a terminal Ctrl+C is handled once, by the parent's drain.
+    *and* its signal wakeup pipe.  Left in place, a SIGTERM aimed at the
+    worker (a process-group SIGTERM stopping the daemon, or
+    ``multiprocessing``'s exit handler terminating daemonic children)
+    would (a) never kill it — the no-op handler swallows it, hanging any
+    ``join()`` — and (b) write the signal number into the wakeup pipe
+    *shared with the parent*, which the parent's event loop then reads as
+    its own SIGTERM and begins a spurious daemon shutdown.  Detaching the
+    wakeup fd and restoring the default SIGTERM disposition severs both
+    paths; SIGINT is ignored so a terminal Ctrl+C is handled once, by the
+    parent's drain.
     """
     try:
         signal.set_wakeup_fd(-1)
@@ -236,6 +240,33 @@ def _worker_init() -> None:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
+        pass
+
+
+def _worker_main(conn) -> None:
+    """A worker's life: receive ``(fn, chunk)``, reply ``(ok, value)``.
+
+    ``value`` is the chunk's result list, or the exception a task raised.
+    ``None`` (sent by :meth:`WorkerPool.drain`) or a closed pipe ends the
+    loop.  A reply that cannot be pickled is replaced by a ``RuntimeError``
+    naming it, so every chunk the parent sends gets exactly one reply.
+    """
+    _worker_init()
+    try:
+        while (job := conn.recv()) is not None:
+            fn, chunk = job
+            try:
+                reply = (True, [fn(x) for x in chunk])
+            except Exception as exc:  # travels back to the caller
+                reply = (False, exc)
+            try:
+                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # unpicklable result or exception
+                data = pickle.dumps(
+                    (False, RuntimeError(f"task reply cannot be pickled: {exc!r}"))
+                )
+            conn.send_bytes(data)
+    except (EOFError, OSError):  # the parent is gone
         pass
 
 
@@ -257,10 +288,11 @@ def _pool_context():
 class WorkerPool:
     """A persistent, order-preserving pool of worker processes.
 
-    The underlying ``multiprocessing.Pool`` is created lazily on the first
-    parallel :meth:`map` and reused until :meth:`close`, so consumers that
-    map repeatedly (autotune sweeps, distributed executions, benchmarks)
-    pay the process-start cost once.
+    The workers are started lazily on the first parallel :meth:`map` and
+    reused until :meth:`close`, so consumers that map repeatedly (autotune
+    sweeps, distributed executions, benchmarks) pay the process-start cost
+    once.  Maps on one pool run one at a time: a map already uses every
+    worker.
     """
 
     def __init__(
@@ -268,28 +300,29 @@ class WorkerPool:
         workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
         task_retries: Optional[int] = None,
-        supervise: Optional[bool] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        self._pool = None
+        #: ``(process, parent end of its pipe)`` per live worker.
+        self._procs: List[tuple] = []
+        #: Serialises maps and teardown: a drain waits for a map in flight.
+        self._lock = threading.Lock()
         #: Supervision knobs (``None`` defers to the REPRO_* environment):
-        #: per-map task timeout in seconds, how many times a crashed or
-        #: timed-out map is retried on a respawned pool before the serial
-        #: fallback, and whether supervision runs at all.
+        #: per-map task timeout in seconds, and how many times a crashed or
+        #: timed-out map is retried on fresh workers before the serial
+        #: fallback.
         self.task_timeout = (
             default_task_timeout() if task_timeout is None else task_timeout
         )
         self.task_retries = (
             default_task_retries() if task_retries is None else max(0, task_retries)
         )
-        self.supervise = default_supervise() if supervise is None else supervise
         #: Lifetime counters: total map() calls, tasks mapped, and how many
         #: of those calls ran (or re-ran) on the serial fallback path.
         self.maps = 0
         self.tasks = 0
         self.serial_maps = 0
         #: Supervision counters: worker deaths observed mid-map, maps that
-        #: hit the task timeout, pool respawns, and map retries.
+        #: hit the task timeout, worker respawns, and map retries.
         self.crashes = 0
         self.timeouts = 0
         self.respawns = 0
@@ -298,14 +331,18 @@ class WorkerPool:
     @property
     def is_running(self) -> bool:
         """Whether worker processes are currently alive."""
-        return self._pool is not None
+        return bool(self._procs)
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = _pool_context().Pool(
-                processes=self.workers, initializer=_worker_init
-            )
-        return self._pool
+    def _start_workers(self) -> None:
+        ctx = _pool_context()
+        while len(self._procs) < self.workers:
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
+            proc.start()
+            # the worker now holds the only other copy of its end: when it
+            # dies, reads on ``conn`` see EOF
+            child_conn.close()
+            self._procs.append((proc, conn))
 
     def map(
         self,
@@ -320,7 +357,7 @@ class WorkerPool:
         caller is itself a daemonic pool worker (nested pools are not
         allowed by ``multiprocessing``); a pool failure mid-map also falls
         back to serial re-evaluation, so the call never returns partial
-        results.
+        results.  An exception raised by a task is re-raised here.
         """
         items = list(items)
         self.maps += 1
@@ -357,75 +394,98 @@ class WorkerPool:
             )
         if fault_active("pool.task"):
             fn = _FaultTask(fn)
-        if not self.supervise:
-            try:
-                return self._ensure_pool().map(fn, items, chunksize=chunksize)
-            except (OSError, pickle.PicklingError, EOFError) as exc:
-                return self._serial_fallback(fn, items, repr(exc))
-        return self._map_supervised(fn, items, chunksize)
-
-    def _map_supervised(
-        self,
-        fn: Callable[[T], R],
-        items: List[T],
-        chunksize: int,
-    ) -> List[R]:
-        """Parallel map that survives worker death and stuck tasks.
-
-        A plain ``Pool.map`` hangs forever when a worker is SIGKILLed
-        mid-task: the pool's maintenance thread respawns the worker, but
-        the chunk the dead worker held never produces a result.  This
-        path dispatches with ``map_async`` and polls: the instant a
-        worker pid disappears (or exits) or the task timeout elapses, the
-        wreckage is terminated, the pool respawned, and the whole map
-        retried — at most :attr:`task_retries` times, then the serial
-        fallback guarantees an answer.  Retries re-run *every* item, so
-        order-preserving determinism is unaffected by partial progress.
-        """
-        failure = "unknown"
-        for attempt in range(self.task_retries + 1):
-            if attempt:
-                self.retries += 1
-                _record_event("retries")
-                self.respawns += 1
-                _record_event("respawns")
-            try:
-                pool = self._ensure_pool()
-                procs = getattr(pool, "_pool", None) or []
-                pids = {proc.pid for proc in procs}
-                result = pool.map_async(fn, items, chunksize=chunksize)
-                failure = self._await_supervised(result, pool, pids)
-                if failure is None:
-                    return result.get(0)
-            except (OSError, pickle.PicklingError, EOFError) as exc:
-                failure = f"pool failure: {exc!r}"
-            # Crash, timeout or transport failure: kill the wreckage so a
-            # later attempt (or the next map) starts from a clean fork.
-            self.close()
+        try:
+            # pickled once, up front: a retry resends the same bytes, and an
+            # unpicklable item surfaces before any worker is involved
+            jobs = [
+                pickle.dumps((fn, items[i : i + chunksize]), pickle.HIGHEST_PROTOCOL)
+                for i in range(0, len(items), chunksize)
+            ]
+        except Exception as exc:
+            return self._serial_fallback(fn, items, f"cannot pickle items: {exc!r}")
+        with self._lock:
+            for attempt in range(self.task_retries + 1):
+                if attempt:
+                    self.retries += 1
+                    _record_event("retries")
+                    self.respawns += 1
+                    _record_event("respawns")
+                try:
+                    self._start_workers()
+                except OSError as exc:
+                    failure = f"cannot start workers: {exc!r}"
+                else:
+                    chunks, failure = self._run(jobs)
+                    if failure is None:
+                        return [result for chunk in chunks for result in chunk]
+                # crash, timeout or start failure: a later attempt (or the
+                # next map) starts from fresh workers
+                self._stop(graceful=False)
         return self._serial_fallback(fn, items, failure)
 
-    def _await_supervised(self, result, pool, pids) -> Optional[str]:
-        """Wait on an async map; ``None`` on success, else a failure reason."""
+    def _run(self, jobs: List[bytes]) -> Tuple[Optional[list], Optional[str]]:
+        """Run pickled chunks on the live workers.
+
+        Returns ``(per-chunk results, None)``, or ``(None, reason)`` when a
+        worker dies or the task timeout elapses.  A task exception stops the
+        dispatch of further chunks; the chunks already in flight are
+        drained, so no stale reply stays in a pipe, and then it is raised.
+        """
         deadline = (
             time.monotonic() + self.task_timeout
             if self.task_timeout is not None
             else None
         )
-        while True:
-            result.wait(_POLL_INTERVAL_S)
-            if result.ready():
-                return None
-            procs = getattr(pool, "_pool", None) or []
-            if any(proc.exitcode is not None for proc in procs) or {
-                proc.pid for proc in procs
-            } != pids:
-                self.crashes += 1
-                _record_event("crashes")
-                return "worker died mid-map"
-            if deadline is not None and time.monotonic() >= deadline:
-                self.timeouts += 1
-                _record_event("timeouts")
-                return f"task timeout after {self.task_timeout:g}s"
+        sentinels = {proc.sentinel for proc, _ in self._procs}
+        idle = [conn for _, conn in self._procs]
+        busy = {}  # conn -> index of the chunk it runs
+        chunks: list = [None] * len(jobs)
+        error: Optional[BaseException] = None
+        dispatched = 0
+        try:
+            while True:
+                while idle and dispatched < len(jobs) and error is None:
+                    conn = idle.pop()
+                    conn.send_bytes(jobs[dispatched])
+                    busy[conn] = dispatched
+                    dispatched += 1
+                if not busy:
+                    break
+                timeout = (
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
+                )
+                ready = wait([*busy, *sentinels], timeout)
+                if not ready:
+                    self.timeouts += 1
+                    _record_event("timeouts")
+                    return None, f"task timeout after {self.task_timeout:g}s"
+                if sentinels.intersection(ready):
+                    raise EOFError("worker exited")
+                for conn in ready:
+                    data = conn.recv_bytes()
+                    try:
+                        ok, value = pickle.loads(data)
+                    except Exception as exc:  # e.g. an exception needing kwargs
+                        ok, value = False, RuntimeError(
+                            f"task reply cannot be unpickled: {exc!r}"
+                        )
+                    chunks[busy.pop(conn)] = value
+                    idle.append(conn)
+                    if not ok and error is None:
+                        error = value
+        except (OSError, EOFError):
+            # a closed sentinel, EOF on a pipe or a broken pipe: a worker died
+            self.crashes += 1
+            _record_event("crashes")
+            return None, "worker died mid-map"
+        except BaseException:
+            # e.g. KeyboardInterrupt mid-wait: replies still in flight would
+            # be read as the next map's results, so the workers must go
+            self._stop(graceful=False)
+            raise
+        if error is not None:
+            raise error
+        return chunks, None
 
     def _serial_fallback(self, fn, items, reason: str) -> List[R]:
         # Results stay correct, but timing-sensitive callers
@@ -437,114 +497,43 @@ class WorkerPool:
             RuntimeWarning,
             stacklevel=3,
         )
-        self.close()
         self.serial_maps += 1
         return [fn(x) for x in items]
 
-    def _reap_for_teardown(self) -> None:
-        """Kill and reap every worker, then free any lock one died holding.
-
-        A worker that dies to an outside signal (a process-group SIGTERM
-        aimed at the daemon, the OOM killer) while idle-blocked in the
-        task queue's ``get()`` takes the queue's reader lock to its grave;
-        ``Pool._terminate_pool`` — run by ``terminate()`` and again by the
-        pool's GC finalizer — then deadlocks acquiring that lock in
-        ``_help_stuff_finish`` (CPython bpo-22393: a POSIX semaphore is
-        never released when its holder dies).  The only race-free recipe
-        is to make every worker *certainly* dead first — an exitcode
-        snapshot can miss workers whose fatal signal is delivered a
-        millisecond later — and only then post back whatever they
-        orphaned.  Live workers release the locks themselves via the task
-        handler's sentinels, so after this runs the stdlib teardown cannot
-        block.
-
-        The worker-maintenance thread is stopped *first*: it respawns dead
-        workers behind our back, and a worker forked an instant ago can
-        still carry the forking parent's signal state (the pool
-        initializer has not run yet), so it must be ended with the
-        uncatchable SIGKILL below rather than the single SIGTERM the
-        stdlib sweep would send it.
-        """
-        handler = getattr(self._pool, "_worker_handler", None)
-        if handler is not None:
-            handler._state = mp_pool.TERMINATE
-            notifier = getattr(self._pool, "_change_notifier", None)
-            if notifier is not None:
-                try:
-                    notifier.put(None)
-                except Exception:  # pragma: no cover - closed queue
-                    pass
-            handler.join(5.0)
-        procs = list(getattr(self._pool, "_pool", None) or [])
-        for p in procs:
-            try:
-                p.kill()
-            except (OSError, ValueError):  # pragma: no cover - racing exit
-                pass
-        for p in procs:
-            try:
-                p.join(5.0)
-            except (OSError, ValueError):  # pragma: no cover - racing exit
-                pass
-        for lock in (
-            getattr(getattr(self._pool, "_inqueue", None), "_rlock", None),
-            getattr(getattr(self._pool, "_outqueue", None), "_wlock", None),
-        ):
-            if lock is None:  # pragma: no cover - exotic queue shapes
+    def _stop(self, graceful: bool) -> None:
+        """Stop every worker: ask it to exit (*graceful*) or SIGKILL it."""
+        procs, self._procs = self._procs, []
+        for proc, conn in procs:
+            if not graceful:
+                proc.kill()
                 continue
-            if lock.acquire(block=False):
-                lock.release()  # was free: leave it free
-            else:
-                try:
-                    lock.release()  # orphaned by a dead holder: post it back
-                except ValueError:  # pragma: no cover - raced to free
-                    pass
+            try:
+                conn.send(None)
+            except OSError:  # already dead
+                pass
+        for proc, conn in procs:
+            proc.join()
+            conn.close()
 
     def close(self) -> None:
-        """Terminate the worker processes (a later map restarts them).
+        """Kill the worker processes (a later map restarts them).
 
-        The workers are killed and reaped up front: ``terminate()`` ends
-        them mid-task anyway, and starting from certainly-dead workers is
-        what makes the stdlib teardown deadlock-proof when an external
-        signal already felled some of them (see :meth:`_reap_for_teardown`).
+        Workers share no lock or queue, so SIGKILL at any instant — even
+        to workers an outside signal already felled — cannot wedge the
+        join that follows.
         """
-        if self._pool is not None:
-            self._reap_for_teardown()
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        with self._lock:
+            self._stop(graceful=False)
 
     def drain(self) -> None:
-        """Wait for outstanding tasks, then stop the workers.
+        """Wait for the map in flight, then let the workers exit.
 
-        The graceful sibling of :meth:`close`: the underlying pool is
-        closed (no new tasks) and *joined*, so tasks already dispatched run
-        to completion instead of being killed mid-map.  Used by the serving
-        daemon's shutdown path; a later :meth:`map` restarts the workers.
-
-        Workers may be dying to the very signal that triggered the drain
-        (a process-group SIGTERM hits the daemon and its workers at once),
-        so the graceful join runs under a watchdog: if it wedges on a lock
-        a dead worker orphaned, the remaining workers are forcibly reaped
-        and the join retried.  After a successful join every worker has
-        exited, so the pool's GC finalizer — which could otherwise hang on
-        the same orphaned lock (CPython bpo-22393) — is cancelled; it has
-        nothing left to do.
+        The graceful sibling of :meth:`close`: nothing is killed mid-task.
+        Used by the serving daemon's shutdown path and by the LRU eviction
+        of shared pools; a later :meth:`map` restarts the workers.
         """
-        if self._pool is None:
-            return
-        pool = self._pool
-        pool.close()
-        joiner = threading.Thread(target=pool.join, daemon=True)
-        joiner.start()
-        joiner.join(10.0)
-        if joiner.is_alive():  # pragma: no cover - timing-dependent rescue
-            self._reap_for_teardown()
-            joiner.join(5.0)
-        finalizer = getattr(pool, "_terminate", None)
-        if not joiner.is_alive() and finalizer is not None:
-            finalizer.cancel()
-        self._pool = None
+        with self._lock:
+            self._stop(graceful=True)
 
     def stats(self) -> dict:
         """Lifetime counters plus current worker state (stats endpoints)."""
@@ -558,7 +547,6 @@ class WorkerPool:
             "timeouts": self.timeouts,
             "respawns": self.respawns,
             "retries": self.retries,
-            "supervised": self.supervise,
             "task_timeout": self.task_timeout,
             "task_retries": self.task_retries,
         }
@@ -580,7 +568,7 @@ class WorkerPool:
 #: Persistent pools keyed by worker count.  Consumers that alternate sizes
 #: (a sweep at ``--workers 2`` interleaved with a distributed execute at
 #: ``--workers 4``) each keep their warm pool instead of thrashing one pool
-#: through terminate/refork cycles; rarely-used sizes are evicted LRU.
+#: through kill/refork cycles; rarely-used sizes are evicted LRU.
 _SHARED_POOLS: "OrderedDict[int, WorkerPool]" = OrderedDict()
 _MAX_SHARED_POOLS = 4
 
@@ -608,7 +596,7 @@ def shared_pool(workers: Optional[int] = None) -> WorkerPool:
         if len(_SHARED_POOLS) > _MAX_SHARED_POOLS:
             _, evicted = _SHARED_POOLS.popitem(last=False)
             # drain, not close: another thread may be mid-map on the
-            # evicted pool, and terminate would kill its tasks under it.
+            # evicted pool, and close would kill its tasks under it.
             evicted.drain()
     _SHARED_POOLS.move_to_end(n)
     return pool

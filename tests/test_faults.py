@@ -9,10 +9,17 @@ fallback guarantees bit-identical results when retries run out.
 
 from __future__ import annotations
 
+import gc
+import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -26,11 +33,7 @@ from repro.runtime import (
     shutdown_pool,
     supervision_events,
 )
-from repro.runtime.pool import (
-    default_supervise,
-    default_task_retries,
-    default_task_timeout,
-)
+from repro.runtime.pool import default_task_retries, default_task_timeout
 from repro.util.faults import (
     FaultInjected,
     configure_faults,
@@ -64,7 +67,7 @@ class CrashOnce:
     """SIGKILL the executing worker until a sentinel file exists.
 
     The first worker to run a task drops the sentinel and dies; after the
-    supervised retry respawns the pool, every task sees the sentinel and
+    supervised retry starts fresh workers, every task sees the sentinel and
     completes — the retry itself succeeds in parallel, no serial fallback.
     """
 
@@ -77,6 +80,18 @@ class CrashOnce:
                 fh.write(str(os.getpid()))
             if multiprocessing.parent_process() is not None:
                 os.kill(os.getpid(), signal.SIGKILL)
+        return x * x
+
+
+class FailOn:
+    """Square, except that one item raises."""
+
+    def __init__(self, bad: int) -> None:
+        self.bad = bad
+
+    def __call__(self, x):
+        if x == self.bad:
+            raise ValueError(f"bad item {x}")
         return x * x
 
 
@@ -250,10 +265,10 @@ class TestSupervisedPool:
 
         A worker forked from an asyncio parent (the serving daemon)
         inherits the loop's no-op SIGTERM handler and wakeup fd; without
-        the pool initializer resetting them, ``Pool.terminate()`` during
-        a supervised respawn would hang on join *and* write into the
-        shared pipe — which the parent's loop reads as its own SIGTERM,
-        shutting the daemon down mid-session.
+        the worker start-up resetting them, a SIGTERM aimed at the worker
+        would be swallowed *and* written into the shared pipe — which the
+        parent's loop reads as its own SIGTERM, shutting the daemon down
+        mid-session.
         """
         read_fd, write_fd = os.pipe()
         os.set_blocking(write_fd, False)
@@ -263,7 +278,7 @@ class TestSupervisedPool:
             with WorkerPool(2) as pool:
                 # workers see the default disposition, not the no-op
                 assert all(pool.map(report_sigterm_disposition, range(4)))
-                pool.close()  # terminate() SIGTERMs the workers
+                pool.close()
             # ...and nothing leaked into the parent's wakeup pipe
             os.set_blocking(read_fd, False)
             with pytest.raises(BlockingIOError):
@@ -276,51 +291,107 @@ class TestSupervisedPool:
 
     @pytest.mark.parametrize("teardown", ["close", "drain"])
     def test_teardown_survives_externally_killed_idle_workers(self, teardown):
-        """Idle workers killed from outside must not deadlock teardown.
+        """Idle workers killed from outside must not slow or wedge teardown.
 
         A process-group SIGTERM (systemd stopping the daemon's cgroup) or
-        the OOM killer ends idle workers while they block in the task
-        queue's ``get()`` — holding its reader lock, which dies with them.
-        ``Pool._terminate_pool`` then hangs acquiring that lock (CPython
-        bpo-22393), wedging ``close()``, ``drain()`` and the pool's GC
-        finalizer.  ``_reap_for_teardown`` must post the orphaned lock
-        back so every teardown path completes.
+        the OOM killer can end idle workers at any instant.  Workers share
+        no lock or queue, so ``close()`` and ``drain()`` must still return
+        at once, and so must the garbage collection of the pool.
         """
-        import gc
-        import threading
-
+        others = set(multiprocessing.active_children())
         pool = WorkerPool(2)
         assert pool.map(Square(), range(8)) == [x * x for x in range(8)]
-        procs = list(pool._pool._pool)
+        procs = [p for p in multiprocessing.active_children() if p not in others]
+        assert len(procs) == 2
         for p in procs:
             os.kill(p.pid, signal.SIGKILL)
         for p in procs:
-            p.join(5.0)
-        assert all(p.exitcode is not None for p in procs)
+            # the sentinel closes on death even when SIGCHLD is ignored,
+            # where ``exitcode`` would stay None
+            assert wait([p.sentinel], 5.0), "worker survived SIGKILL"
+
+        elapsed = []
 
         def tear_down():
-            getattr(pool, teardown)()  # must release the orphaned lock
-            gc.collect()  # ...and the GC finalizer must complete too
+            start = time.monotonic()
+            getattr(pool, teardown)()
+            gc.collect()
+            elapsed.append(time.monotonic() - start)
 
         worker = threading.Thread(target=tear_down, daemon=True)
         worker.start()
         worker.join(20.0)
-        assert not worker.is_alive(), (
-            f"{teardown}() deadlocked on a dead worker's queue lock"
-        )
-        assert pool._pool is None
+        assert not worker.is_alive(), f"{teardown}() hung on dead workers"
+        assert elapsed[0] < 1.0, f"{teardown}() took {elapsed[0]:.2f}s"
+        assert not pool.is_running
 
-    def test_unsupervised_pool_still_maps(self):
-        with WorkerPool(2, supervise=False) as pool:
-            assert pool.map(Square(), range(6)) == [x * x for x in range(6)]
-            assert pool.stats()["supervised"] is False
+    def test_kill_map_finishes_with_sigchld_ignored(self):
+        """Crash detection must not depend on reaping the dead worker.
+
+        With SIGCHLD ignored the kernel reaps children itself and
+        ``Process.exitcode`` never leaves ``None``; a crash detector that
+        polls it waits forever.  The map runs in a child interpreter so the
+        disposition does not leak into this one.
+        """
+        script = textwrap.dedent(
+            """
+            import math, signal, warnings
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            from repro.runtime import WorkerPool
+            from repro.util.faults import configure_faults
+            configure_faults("pool.task:kill")
+            with WorkerPool(2, task_retries=1) as pool:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    print(repr(pool.map(math.sqrt, range(16))))
+                print(pool.stats()["crashes"], pool.stats()["serial_maps"])
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        env.pop("REPRO_FAULTS", None)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert out.returncode == 0, out.stderr
+        results, counters = out.stdout.splitlines()
+        assert results == repr([math.sqrt(x) for x in range(16)])
+        assert counters == "2 1"  # both attempts crashed, serial answered
+
+    def test_close_cycles_raise_no_thread_exceptions(self, monkeypatch):
+        """Back-to-back map + close cycles leave no failure behind.
+
+        Teardown races show up as exceptions in helper threads (reported
+        only through ``threading.excepthook``) or as an error from
+        ``close()`` itself; 300 cycles make a rare race likely to show.
+        """
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        for _ in range(300):
+            pool = WorkerPool(2)
+            assert pool.map(Square(), range(4)) == [0, 1, 4, 9]
+            pool.close()
+        assert hooked == []
+
+    def test_task_exception_reaches_the_caller_and_pool_stays_usable(self):
+        with WorkerPool(2) as pool:
+            with pytest.raises(ValueError, match="bad item 3"):
+                pool.map(FailOn(3), range(8))
+            # the chunks in flight were drained: no stale reply is read
+            # as this map's results
+            assert pool.map(Square(), range(8)) == [x * x for x in range(8)]
+            assert pool.stats()["serial_maps"] == 0
 
     def test_stats_surface_the_supervision_knobs(self):
         with WorkerPool(2, task_timeout=2.5, task_retries=3) as pool:
             stats = pool.stats()
         assert stats["task_timeout"] == 2.5
         assert stats["task_retries"] == 3
-        assert stats["supervised"] is True
 
 
 class TestEnvKnobs:
@@ -345,15 +416,6 @@ class TestEnvKnobs:
         with pytest.warns(RuntimeWarning, match="REPRO_TASK_RETRIES"):
             monkeypatch.setenv("REPRO_TASK_RETRIES", "many")
             assert default_task_retries() == 1
-
-    def test_supervise_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_SUPERVISE", raising=False)
-        assert default_supervise() is True
-        for off in ("0", "false", "no", "off"):
-            monkeypatch.setenv("REPRO_POOL_SUPERVISE", off)
-            assert default_supervise() is False
-        monkeypatch.setenv("REPRO_POOL_SUPERVISE", "1")
-        assert default_supervise() is True
 
 
 class TestSharedPoolEviction:

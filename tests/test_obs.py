@@ -389,11 +389,19 @@ class TestDaemonObservability:
 
     def test_trace_dir_session_covers_all_layers(self, tmp_path):
         # one kernel family -> repeated plan signatures -> the parallel
-        # dispatch path engages and pool workers record task spans
+        # dispatch path engages and pool workers record task spans.  The
+        # requests sharing a signature batch only if one dispatch cycle
+        # takes them together, so dispatch is held until all have arrived.
         requests = scenario_mix(8, mix="mttkrp", seed=3)
         with start_daemon_thread(workers=2, trace_dir=tmp_path) as handle:
             with ServeClient(*handle.address, timeout=60) as client:
-                daemon_outputs = client.run(requests)
+                paused = threading.Event()
+                handle.call(lambda: (handle.daemon.pause_dispatch(), paused.set()))
+                assert paused.wait(10)
+                pending = client.submit_many(requests)
+                assert client.ping()  # barrier: every submit has been read
+                handle.call(handle.daemon.resume_dispatch)
+                daemon_outputs = [p.result() for p in pending]
                 client.shutdown_server()
         port = handle.address[1]
         path = tmp_path / f"trace-daemon-{port}.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -33,6 +34,11 @@ class WorkerPid:
 
     def __call__(self, x):
         return os.getpid()
+
+
+def worker_pids() -> set:
+    """Pids of this process's live ``multiprocessing`` children."""
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 class ReadShared:
@@ -97,9 +103,10 @@ class TestWorkerPool:
     def test_pool_persists_across_maps(self):
         with WorkerPool(2) as pool:
             pool.map(Square(), range(4))
-            first = pool._pool
+            first = worker_pids()
+            assert len(first) >= 2
             pool.map(Square(), range(4))
-            assert pool._pool is first
+            assert worker_pids() == first
 
     def test_serial_fallbacks(self):
         with WorkerPool(2) as pool:
@@ -134,10 +141,10 @@ class TestSharedPool:
         assert parallel_map(Square(), range(10), workers=2) == [
             x * x for x in range(10)
         ]
-        underlying = shared_pool(2)._pool
-        assert underlying is not None
+        assert shared_pool(2).is_running
+        first = worker_pids()
         parallel_map(Square(), range(10), workers=2)
-        assert shared_pool(2)._pool is underlying  # no fork per call
+        assert worker_pids() == first  # no fork per call
 
     def test_shutdown_pool(self):
         parallel_map(Square(), range(6), workers=2)
